@@ -20,9 +20,9 @@ fn table_tree(frames: usize) -> (BTree, PaxLayout) {
 fn bench_btree(c: &mut Criterion) {
     let (tree, layout) = table_tree(8192);
     for i in 1..=100_000u64 {
-        tree.table_append(
+        tree.table_append_alloc(
             &layout,
-            RowId(i),
+            &|| RowId(i),
             &[Value::I64(i as i64), Value::Str("x".into())],
             |_, _, _, _| {},
         )

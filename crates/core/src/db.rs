@@ -724,7 +724,7 @@ impl Database {
         for (table, row, tuple) in inserts {
             let t = self.table_by_id(table)?;
             t.bump_row_id(row);
-            t.tree.table_append(&t.layout, row, tuple, |_, _, _, _| {})?;
+            t.tree.table_append_alloc(&t.layout, &|| row, tuple, |_, _, _, _| {})?;
             for index in t.all_indexes() {
                 let key = index.key_for(&t.schema, tuple, row);
                 index.tree.index_insert(&key, row)?;

@@ -122,8 +122,16 @@ impl Database {
                     let key = index.key_for(&table.schema, &tuple, old_row);
                     let _ = index.tree.index_remove(&key);
                 }
-                let new_row = table.next_row_id();
-                table.tree.table_append(&table.layout, new_row, &tuple, |_, _, _, _| {})?;
+                // The row id is drawn under the rightmost leaf's latch, like
+                // a transactional insert's, so concurrent inserts cannot
+                // append a larger id first.
+                let alloc = || table.next_row_id();
+                let (new_row, _, _) = table.tree.table_append_alloc(
+                    &table.layout,
+                    &alloc,
+                    &tuple,
+                    |_, _, _, _| {},
+                )?;
                 for index in table.all_indexes() {
                     let key = index.key_for(&table.schema, &tuple, new_row);
                     index.tree.index_insert(&key, new_row)?;

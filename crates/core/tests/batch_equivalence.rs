@@ -327,3 +327,97 @@ fn multi_get_survives_cold_buffer_pool() {
     );
     db.shutdown();
 }
+
+/// Two threads insert (index inserts, leaf and inner splits), look keys up
+/// one at a time (index descent plus table read) and in batches
+/// (`multi_lookup`) through a 32-frame pool, so nearly every descent
+/// faults and every thread keeps evicting under the others. Every answer
+/// must match a `BTreeMap` oracle of what was committed.
+#[test]
+fn cold_pool_stress_matches_oracle() {
+    use std::collections::BTreeMap;
+    let mut cfg = KernelConfig::for_tests();
+    cfg.buffer_frames = 32;
+    let db = Database::open(cfg).unwrap();
+    let t = kv(&db);
+    let idx = db.create_index(&t, "by_k", vec![0], true).unwrap();
+    // 20k rows: ~30 table leaves plus ~180 index leaves, several times
+    // the pool.
+    const SEEDED: i64 = 20_000;
+    seed_many(&db, &t, SEEDED);
+    let expect = |k: i64, got: &Option<(phoebe_common::ids::RowId, Row)>| match got {
+        Some((_, row)) => assert_eq!(row.values(), &[Value::I64(k), Value::I64(k * 10)]),
+        None => panic!("committed key {k} not found"),
+    };
+    let workers: Vec<_> = (0..2i64)
+        .map(|w| {
+            let (db, t, idx) = (db.clone(), t.clone(), idx.clone());
+            std::thread::spawn(move || {
+                block_on(async {
+                    let mut mine = BTreeMap::new();
+                    let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ w as u64;
+                    let mut next = || {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x
+                    };
+                    for i in 0..1_500i64 {
+                        // Disjoint per thread, above the seeded range.
+                        let k = SEEDED + 2 * i + w;
+                        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+                        tx.insert(&t, vec![Value::I64(k), Value::I64(k * 10)]).await.unwrap();
+                        tx.commit().await.unwrap();
+                        mine.insert(k, k * 10);
+                        let old = (next() % SEEDED as u64) as i64;
+                        let own = SEEDED + 2 * (next() % (i as u64 + 1)) as i64 + w;
+                        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+                        for k in [old, own] {
+                            expect(k, &tx.lookup_unique(&t, &idx, &[Value::I64(k)]).unwrap());
+                        }
+                        if i % 8 == 0 {
+                            // Seeded keys, own keys and keys never inserted.
+                            let keys: Vec<i64> = (0..16)
+                                .map(|j| match j % 3 {
+                                    0 => (next() % SEEDED as u64) as i64,
+                                    1 => SEEDED + 2 * (next() % (i as u64 + 1)) as i64 + w,
+                                    _ => -1 - (next() % 1_000) as i64,
+                                })
+                                .collect();
+                            let vals: Vec<Vec<Value>> =
+                                keys.iter().map(|&k| vec![Value::I64(k)]).collect();
+                            let got = tx.multi_lookup(&t, &idx, &vals).await.unwrap();
+                            for (&k, g) in keys.iter().zip(&got) {
+                                if k < 0 {
+                                    assert!(g.is_none(), "key {k} was never inserted");
+                                } else {
+                                    expect(k, g);
+                                }
+                            }
+                        }
+                        tx.commit().await.unwrap();
+                    }
+                    mine
+                })
+            })
+        })
+        .collect();
+    let mut oracle: BTreeMap<i64, i64> = (0..SEEDED).map(|k| (k, k * 10)).collect();
+    for w in workers {
+        oracle.extend(w.join().unwrap());
+    }
+    // Every committed key comes back through the batched path too.
+    block_on(async {
+        let keys: Vec<i64> = oracle.keys().copied().collect();
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        for chunk in keys.chunks(64) {
+            let vals: Vec<Vec<Value>> = chunk.iter().map(|&k| vec![Value::I64(k)]).collect();
+            for (&k, g) in chunk.iter().zip(&tx.multi_lookup(&t, &idx, &vals).await.unwrap()) {
+                expect(k, g);
+            }
+        }
+        tx.commit().await.unwrap();
+    });
+    assert!(db.metrics.snapshot().counter(Counter::PageReads) > 0, "the pool must page");
+    db.shutdown();
+}

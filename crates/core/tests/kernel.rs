@@ -375,6 +375,61 @@ fn freeze_then_read_from_block_store_then_warm() {
     db.shutdown();
 }
 
+/// Warming appends rows under fresh row ids while transactions insert into
+/// the same table. Each id must be drawn under the rightmost leaf's latch:
+/// an id drawn before it lets a concurrent insert append a larger id first,
+/// and the warm append then breaks the leaf's ascending row-id order.
+#[test]
+fn warm_table_runs_alongside_inserting_transactions() {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.freeze_access_threshold = u64::MAX; // everything qualifies as cold
+    cfg.freeze_batch_pages = 4;
+    cfg.warm_read_threshold = 3;
+    let db = Database::open(cfg).unwrap();
+    let t = db.create_table("events", Schema::new(vec![("v", ColType::I64)])).unwrap();
+    let n = 8_000usize;
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        for i in 0..n {
+            tx.insert(&t, vec![Value::I64(i as i64)]).await.unwrap();
+        }
+        tx.commit().await.unwrap();
+    });
+    let frozen = db.freeze_table(&t).unwrap();
+    assert!(frozen.rows_frozen > 0, "cold full leaves must freeze");
+    // Read every frozen row so every block crosses the warm threshold.
+    let mut tx = db.begin(IsolationLevel::ReadCommitted);
+    for row in 1..=frozen.new_watermark {
+        assert!(tx.read(&t, phoebe_common::ids::RowId(row)).unwrap().is_some());
+    }
+    block_on(tx.commit()).unwrap();
+
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let inserter = {
+        let (db, t, stop) = (Arc::clone(&db), Arc::clone(&t), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            block_on(async {
+                let mut inserted = 0usize;
+                // ORDERING: the flag only ends the loop; join orders the rest.
+                while inserted < 100 || !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    let mut tx = db.begin(IsolationLevel::ReadCommitted);
+                    tx.insert(&t, vec![Value::I64(-1)]).await.unwrap();
+                    tx.commit().await.unwrap();
+                    inserted += 1;
+                }
+                inserted
+            })
+        })
+    };
+    let warm = db.warm_table(&t).unwrap();
+    // ORDERING: see the loop above.
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    let inserted = inserter.join().unwrap();
+    assert_eq!(warm.rows_warmed, frozen.rows_frozen, "every frozen row warms back");
+    assert_eq!(db.approximate_row_count(&t).unwrap(), n + inserted, "no rows lost");
+    db.shutdown();
+}
+
 #[test]
 fn frozen_rows_update_out_of_place() {
     let mut cfg = KernelConfig::for_tests();

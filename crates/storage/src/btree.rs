@@ -9,10 +9,12 @@
 //! Concurrency follows the paper's hybrid lock strategy (§7.2): descents
 //! use optimistic lock coupling (read versions, validate the parent after
 //! each hop, restart on interference); leaf operations take shared or
-//! exclusive latches. Structure modifications (splits) run on a pessimistic
-//! path that holds the tree-meta latch and crabs exclusive latches with
-//! preemptive splitting, so they coexist with optimistic readers simply by
-//! bumping versions.
+//! exclusive latches. Every optimistic descent is one [`DescentCursor`],
+//! driven either step by step by a batch or to completion by the blocking
+//! driver. Structure modifications (splits) run on a pessimistic path that
+//! holds the tree-meta latch and crabs exclusive latches with preemptive
+//! splitting, so they coexist with optimistic readers simply by bumping
+//! versions.
 //!
 //! Two invariants keep swizzling sound:
 //! * **single parent** — every swip value (hot frame id or cold page id)
@@ -22,7 +24,7 @@
 //!   a fresh rightmost leaf; a table leaf's row-id range is immutable,
 //!   giving upper layers a stable page identity for twin tables (§6.2).
 
-use crate::buffer::{BufferPool, NO_PARENT};
+use crate::buffer::{BufferPool, FrameReserve, NO_PARENT};
 use crate::latch::{LatchVersion, ReadGuard, WriteGuard};
 use crate::node::{IndexLeaf, InnerNode, Page};
 use crate::pax::{PaxLayout, PaxLeaf};
@@ -63,6 +65,9 @@ pub struct BTree {
 pub fn row_key(row: RowId) -> [u8; 8] {
     row.raw().to_be_bytes()
 }
+
+/// Descent key of the rightmost leaf: longer than any 8-byte row key.
+const RIGHTMOST: [u8; 9] = [0xff; 9];
 
 #[derive(Clone, Copy)]
 enum ParentRef {
@@ -120,127 +125,41 @@ impl BTree {
         }
     }
 
-    /// Descend to the leaf responsible for `key` and latch it.
-    ///
-    /// Returns the leaf frame, its guard (shared or exclusive per `WRITE`),
-    /// and — only when `FENCE` — the *next separator*: the tightest upper
-    /// bound on this leaf's key range seen on the path, which is exactly
-    /// the first key of the next leaf, the resume point for range scans.
-    /// Point operations pass `FENCE = false` so the hop loop never copies
-    /// separator bytes at all; range scans get the fence in a [`SmallKey`]
-    /// that keeps short separators (every table key, most index prefixes)
-    /// on the stack.
-    fn descend<const WRITE: bool, const FENCE: bool>(
-        &self,
-        key: &[u8],
-    ) -> Result<(FrameId, LeafGuard<'_>, Option<SmallKey>)> {
-        // Figure 12's "latching" component: traversal latch work.
-        let _t = self.metrics.timer(phoebe_common::metrics::Component::Latch);
-        // Each restarted attempt's wasted traversal time feeds the
-        // btree_restart latency histogram.
-        let mut attempt = std::time::Instant::now();
-        let restart = |attempt: &mut std::time::Instant| self.note_restart(attempt);
-        'restart: loop {
-            let Some(((root, height), meta_ver)) =
-                self.meta.optimistic_versioned(|m| (m.root, m.height))
-            else {
-                std::hint::spin_loop();
-                continue 'restart;
-            };
-            let mut parent = ParentRef::Meta;
-            let mut parent_ver = meta_ver;
-            let mut cur = root;
-            let mut level = height;
-            let mut next_sep: Option<SmallKey> = None;
-            loop {
-                let fid = match cur.state() {
-                    SwipState::Hot(f) => f,
-                    SwipState::Cooling(f) => {
-                        // Second chance: heat through the parent, best effort.
-                        if let ParentRef::Node(pfid) = parent {
-                            self.heat(pfid, f);
-                        }
-                        f
-                    }
-                    SwipState::Cold(pid) => {
-                        let ParentRef::Node(pfid) = parent else {
-                            return Err(PhoebeError::internal("root swip went cold"));
-                        };
-                        self.fix_cold(pfid, cur, pid)?;
-                        continue 'restart;
-                    }
-                };
-                let frame = self.pool.frame(fid);
-                if level == 1 {
-                    let guard = if WRITE {
-                        LeafGuard::Write(frame.latch.write())
-                    } else {
-                        LeafGuard::Read(frame.latch.read())
-                    };
-                    if !self.validate_parent(&parent, parent_ver) {
-                        drop(guard);
-                        restart(&mut attempt);
-                        continue 'restart;
-                    }
-                    return Ok((fid, guard, next_sep));
-                }
-                // Inner hop: read the child slot optimistically.
-                let Some((read, ver)) = frame.latch.optimistic_versioned(|p| match p {
-                    Page::Inner(n) => {
-                        let i = n.child_index(key);
-                        let sep =
-                            (FENCE && i < n.count as usize).then(|| SmallKey::from_slice(n.key(i)));
-                        Some((n.children[i], sep))
-                    }
-                    _ => None,
-                }) else {
-                    restart(&mut attempt);
-                    std::hint::spin_loop();
-                    continue 'restart;
-                };
-                if !self.validate_parent(&parent, parent_ver) {
-                    restart(&mut attempt);
-                    continue 'restart;
-                }
-                let Some((child_raw, sep)) = read else {
-                    // Frame was repurposed under us.
-                    restart(&mut attempt);
-                    continue 'restart;
-                };
-                if let Some(s) = sep {
-                    next_sep = Some(s);
-                }
-                parent = ParentRef::Node(fid);
-                parent_ver = ver;
-                cur = Swip::from_raw(child_raw);
-                level -= 1;
-            }
+    fn cursor(&self, key: &[u8], write: bool) -> DescentCursor<'_> {
+        DescentCursor {
+            tree: self,
+            key: SmallKey::from_slice(key),
+            write,
+            state: CursorState::Start,
+            parent: ParentRef::Meta,
+            parent_ver: LatchVersion::default(),
+            parent_epoch: 0,
+            cur: Swip::NULL,
+            level: 0,
+            attempt: std::time::Instant::now(),
         }
     }
 
-    /// Re-swizzle a cold child in (validated) parent `pfid`. The exact cold
-    /// swip value identifies the slot thanks to the single-parent invariant.
-    ///
-    /// The frame allocation and read I/O run *before* the parent latch is
-    /// taken (the caller holds nothing here), so eviction — which needs
-    /// parent latches — can always make progress.
-    fn fix_cold(&self, pfid: FrameId, cold: Swip, pid: phoebe_common::ids::PageId) -> Result<()> {
-        // Epoch before the read: install_loaded rejects the frame if the
-        // page goes through an install/evict cycle while we read stale
-        // bytes (PageId ABA behind a byte-identical cold swip).
-        let epoch = self.pool.fault_epoch(pid);
-        let fid = self.pool.load_cold(pid, pfid)?;
-        // The blocking descent restarts unconditionally after a fault, so
-        // the re-arm stamp is only for the batch cursor.
-        let _ = self.install_loaded(pfid, cold, fid, epoch);
-        Ok(())
+    /// Open a resumable point-lookup descent for `key`. The cursor
+    /// suspends between hops (after prefetching the next node) and on
+    /// cold-page faults (after kicking the read to the background
+    /// loader), so a batch of cursors can overlap each other's cache
+    /// misses and disk I/O. `write` selects the leaf latch mode.
+    pub fn batch_cursor(&self, key: &[u8], write: bool) -> DescentCursor<'_> {
+        self.cursor(key, write)
+    }
+
+    /// The leaf responsible for `key`, latched per `write`, reached by the
+    /// blocking driver ([`DescentCursor::run`]).
+    fn leaf(&self, key: &[u8], write: bool) -> Result<BatchLeaf<'_>> {
+        Ok(self.cursor(key, write).run::<false>()?.0)
     }
 
     /// Swizzle-install half of a cold-page fault: swing the parent's child
     /// slot from `cold` to the freshly loaded `fid`, or discard the
-    /// duplicate if a racing loader won. Shared by the blocking
-    /// [`BTree::fix_cold`] path and the asynchronous ticket resume in
-    /// [`DescentCursor::step`]. `fault_epoch` is the page's
+    /// duplicate if a racing loader won. Shared by the blocking driver's
+    /// inline load and the asynchronous ticket resume (both through
+    /// [`DescentCursor::install`]). `fault_epoch` is the page's
     /// [`BufferPool::fault_epoch`] captured before the disk read was
     /// issued; if it has moved, the page was installed, possibly
     /// modified, and evicted again while the fault was in flight, so
@@ -249,11 +168,11 @@ impl BTree {
     /// The stale frame is discarded like a lost race.
     ///
     /// On success, returns the parent's post-install version and its
-    /// reuse epoch (read under the latch) so a suspended cursor can
-    /// re-arm its optimistic descent right at the parent instead of
-    /// re-descending from the root; `None` means the caller must restart
-    /// to re-route (the slot stays cold in the stale-epoch case, so the
-    /// restart re-faults and reads current bytes).
+    /// reuse epoch (read under the latch) so the cursor can re-arm its
+    /// optimistic descent right at the parent instead of re-descending
+    /// from the root; `None` means the caller must restart to re-route
+    /// (the slot stays cold in the stale-epoch case, so the restart
+    /// re-faults and reads current bytes).
     fn install_loaded(
         &self,
         pfid: FrameId,
@@ -322,37 +241,14 @@ impl BTree {
     }
 
     // ------------------------------------------------------------------
-    // Resumable descent (interleaved batch execution)
-    // ------------------------------------------------------------------
-
-    /// Open a resumable point-lookup descent for `key`. The cursor runs
-    /// the same optimistic-lock-coupling hop loop as the blocking descent
-    /// but suspends between hops (after prefetching the next node) and on
-    /// cold-page faults (after kicking the read to the background
-    /// loader), so a batch of cursors can overlap each other's cache
-    /// misses and disk I/O. `write` selects the leaf latch mode.
-    pub fn batch_cursor(&self, key: &[u8], write: bool) -> DescentCursor<'_> {
-        DescentCursor {
-            tree: self,
-            key: SmallKey::from_slice(key),
-            write,
-            state: CursorState::Start,
-            parent: ParentRef::Meta,
-            parent_ver: LatchVersion::default(),
-            parent_epoch: 0,
-            cur: Swip::NULL,
-            level: 0,
-            attempt: std::time::Instant::now(),
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Table operations
     // ------------------------------------------------------------------
 
     /// Append a tuple under a row id drawn *inside* the rightmost leaf's
     /// exclusive latch, so allocation order equals append order — the
     /// invariant behind the monotonically increasing row-id key (§5.1).
+    /// Callers that replay an explicit row id (recovery, loaders) pass
+    /// `&|| row`; it must exceed every row id in the tree.
     /// Returns `(row_id, leaf frame, first row id)`; `under_latch` runs
     /// after the append while the leaf is still latched (twin install).
     pub fn table_append_alloc(
@@ -363,211 +259,30 @@ impl BTree {
         under_latch: impl FnOnce(&mut PaxLeaf, usize, RowId, FrameId),
     ) -> Result<(RowId, FrameId, RowId)> {
         debug_assert_eq!(self.kind, TreeKind::Table);
-        // Rightmost descent: longer than any 8-byte row key.
-        const MAX_KEY_SENTINEL: [u8; 9] = [0xff; 9];
         {
-            let (fid, mut guard, _) = self.descend::<true, false>(&MAX_KEY_SENTINEL)?;
-            if let Page::TableLeaf(leaf) = guard.page_mut() {
-                if !leaf.is_full(layout) {
-                    let row_id = alloc();
-                    let idx = leaf.append(layout, row_id, tuple);
-                    let first = leaf.first_row_id().expect("non-empty leaf");
-                    under_latch(leaf, idx, first, fid);
-                    self.mark_dirty(fid);
-                    return Ok((row_id, fid, first));
-                }
-            } else {
-                return Err(PhoebeError::internal("table descend hit non-table leaf"));
+            let mut leaf = self.leaf(&RIGHTMOST, true)?;
+            if !leaf.pax()?.is_full(layout) {
+                return leaf.table_append(layout, alloc, tuple, under_latch);
             }
         }
-        self.grow_table_alloc(layout, alloc, tuple, under_latch)
-    }
-
-    /// Pessimistic variant of [`BTree::table_append_alloc`]: walk the right
-    /// spine under the meta latch, splitting full inners preemptively, and
-    /// allocate the row id once the target leaf is exclusively held.
-    fn grow_table_alloc(
-        &self,
-        layout: &PaxLayout,
-        alloc: &(dyn Fn() -> RowId + Sync),
-        tuple: &[Value],
-        under_latch: impl FnOnce(&mut PaxLeaf, usize, RowId, FrameId),
-    ) -> Result<(RowId, FrameId, RowId)> {
-        const MAX_KEY_SENTINEL: [u8; 9] = [0xff; 9];
-        let key: &[u8] = &MAX_KEY_SENTINEL;
+        // The rightmost leaf is full: hang a fresh one on the pessimistic
+        // path. See the index split for why frames are reserved first.
         let mut reserve = self.pool.reserve(6);
         let mut meta = self.meta.write();
-        // Root-is-leaf: either append in place or grow a root above it.
-        if meta.height == 1 {
-            let root_fid = meta.root.frame().expect("root is always hot");
-            let mut root_guard = self.pool.frame(root_fid).latch.write();
-            let Page::TableLeaf(leaf) = &mut *root_guard else {
-                return Err(PhoebeError::internal("corrupt root"));
-            };
-            if !leaf.is_full(layout) {
-                let row_id = alloc();
-                let idx = leaf.append(layout, row_id, tuple);
-                let first = leaf.first_row_id().expect("non-empty leaf");
-                under_latch(leaf, idx, first, root_fid);
-                drop(root_guard);
-                self.mark_dirty(root_fid);
-                return Ok((row_id, root_fid, first));
-            }
-            drop(root_guard);
-            let new_root = reserve.take()?;
-            {
-                let mut g = self.pool.frame(new_root).latch.write();
-                let mut inner = InnerNode::default();
-                inner.children[0] = Swip::hot(root_fid).raw();
-                *g = Page::Inner(inner);
-            }
-            self.pool.frame(new_root).meta.parent.store(NO_PARENT, Ordering::Relaxed);
-            self.pool.frame(root_fid).meta.parent.store(new_root, Ordering::Relaxed);
-            self.mark_dirty(new_root);
-            meta.root = Swip::hot(new_root);
-            meta.height += 1;
+        let mut last = self.crab(&mut meta, &mut reserve, &RIGHTMOST)?;
+        if !last.pax()?.is_full(layout) {
+            // Another appender hung a fresh leaf while we waited.
+            return last.table_append(layout, alloc, tuple, under_latch);
         }
-        // Crab down the right spine.
-        let mut cur = meta.root.frame().expect("root hot");
-        let mut level = meta.height;
-        let mut guard = self.pool.frame(cur).latch.write();
-        loop {
-            if let Page::Inner(n) = &*guard {
-                if n.is_full() {
-                    let parent_hint = self.pool.frame(cur).meta.parent.load(Ordering::Relaxed);
-                    let (right_fid, sep) = self.split_inner(&mut reserve, &mut guard)?;
-                    if parent_hint == NO_PARENT {
-                        let new_root = reserve.take()?;
-                        {
-                            let mut g = self.pool.frame(new_root).latch.write();
-                            let mut inner = InnerNode::default();
-                            inner.children[0] = Swip::hot(cur).raw();
-                            inner.insert_separator(0, &sep, Swip::hot(right_fid).raw());
-                            *g = Page::Inner(inner);
-                        }
-                        self.pool.frame(new_root).meta.parent.store(NO_PARENT, Ordering::Relaxed);
-                        self.pool.frame(cur).meta.parent.store(new_root, Ordering::Relaxed);
-                        self.pool.frame(right_fid).meta.parent.store(new_root, Ordering::Relaxed);
-                        self.mark_dirty(new_root);
-                        meta.root = Swip::hot(new_root);
-                        meta.height += 1;
-                    } else {
-                        let mut pg = self.pool.frame(parent_hint).latch.write();
-                        let Page::Inner(pn) = &mut *pg else {
-                            return Err(PhoebeError::internal("parent hint corrupt"));
-                        };
-                        let slot = pn
-                            .find_child_slot(Swip::hot(cur).raw())
-                            .ok_or_else(|| PhoebeError::internal("child slot missing"))?;
-                        pn.insert_separator(slot, &sep, Swip::hot(right_fid).raw());
-                        self.pool
-                            .frame(right_fid)
-                            .meta
-                            .parent
-                            .store(parent_hint, Ordering::Relaxed);
-                        self.mark_dirty(parent_hint);
-                    }
-                    // Rightmost descent always follows the right half.
-                    drop(guard);
-                    cur = right_fid;
-                    guard = self.pool.frame(cur).latch.write();
-                    continue;
-                }
-            }
-            match &mut *guard {
-                Page::Inner(n) => {
-                    let idx = n.child_index(key);
-                    let child = Swip::from_raw(n.children[idx]);
-                    let next = match child.state() {
-                        SwipState::Hot(f) | SwipState::Cooling(f) => f,
-                        SwipState::Cold(pid) => {
-                            let f = reserve.take()?;
-                            self.pool.read_into_frame(f, pid, cur)?;
-                            n.children[idx] = Swip::hot(f).raw();
-                            self.mark_dirty(cur);
-                            f
-                        }
-                    };
-                    if level == 2 {
-                        // The child is the rightmost leaf.
-                        let mut leaf_guard = self.pool.frame(next).latch.write();
-                        let Page::TableLeaf(leaf) = &mut *leaf_guard else {
-                            return Err(PhoebeError::internal("expected table leaf"));
-                        };
-                        if !leaf.is_full(layout) {
-                            let row_id = alloc();
-                            let idx0 = leaf.append(layout, row_id, tuple);
-                            let first = leaf.first_row_id().expect("non-empty leaf");
-                            under_latch(leaf, idx0, first, next);
-                            drop(leaf_guard);
-                            self.mark_dirty(next);
-                            return Ok((row_id, next, first));
-                        }
-                        drop(leaf_guard);
-                        // Hang a fresh rightmost leaf; the row id drawn now
-                        // is strictly greater than everything appended so
-                        // far (we hold the parent, the old leaf is full).
-                        let row_id = alloc();
-                        let new_leaf = reserve.take()?;
-                        {
-                            let mut g = self.pool.frame(new_leaf).latch.write();
-                            let mut fresh = PaxLeaf::new();
-                            let idx0 = fresh.append(layout, row_id, tuple);
-                            under_latch(&mut fresh, idx0, row_id, new_leaf);
-                            *g = Page::TableLeaf(fresh);
-                        }
-                        self.pool.frame(new_leaf).meta.parent.store(cur, Ordering::Relaxed);
-                        n.insert_separator(idx, &row_key(row_id), Swip::hot(new_leaf).raw());
-                        self.mark_dirty(cur);
-                        self.mark_dirty(new_leaf);
-                        return Ok((row_id, new_leaf, row_id));
-                    }
-                    let next_guard = self.pool.frame(next).latch.write();
-                    drop(guard);
-                    cur = next;
-                    guard = next_guard;
-                    level -= 1;
-                }
-                Page::TableLeaf(_) => {
-                    return Err(PhoebeError::internal("leaf above level 1 in table tree"));
-                }
-                _ => return Err(PhoebeError::internal("unexpected page kind in table tree")),
-            }
-        }
-    }
-
-    /// Append a tuple under `row_id` (must exceed every existing row id).
-    /// Returns the leaf frame and its first row id (the page identity the
-    /// twin table keys on). `under_latch` runs right after the append while
-    /// the leaf is still exclusively latched — MVCC uses it to install the
-    /// twin entry before the tuple becomes readable. Single-writer only
-    /// (loader/recovery); concurrent inserts go through
-    /// [`BTree::table_append_alloc`].
-    pub fn table_append(
-        &self,
-        layout: &PaxLayout,
-        row_id: RowId,
-        tuple: &[Value],
-        under_latch: impl FnOnce(&mut PaxLeaf, usize, RowId, FrameId),
-    ) -> Result<(FrameId, RowId)> {
-        debug_assert_eq!(self.kind, TreeKind::Table);
-        let key = row_key(row_id);
-        {
-            let (fid, mut guard, _) = self.descend::<true, false>(&key)?;
-            if let Page::TableLeaf(leaf) = guard.page_mut() {
-                if !leaf.is_full(layout) {
-                    let idx = leaf.append(layout, row_id, tuple);
-                    let first = leaf.first_row_id().expect("non-empty leaf");
-                    under_latch(leaf, idx, first, fid);
-                    self.mark_dirty(fid);
-                    return Ok((fid, first));
-                }
-            } else {
-                return Err(PhoebeError::internal("table descend hit non-table leaf"));
-            }
-        }
-        // Leaf full: grow a fresh rightmost leaf on the pessimistic path.
-        self.grow_table(layout, row_id, tuple, under_latch)
+        // The row id is drawn while the full leaf and the meta latch are
+        // held, so it exceeds every row appended so far, and any appender
+        // that later reaches the fresh leaf draws a larger one under its
+        // latch.
+        let fresh = reserve.take()?;
+        *self.pool.frame(fresh).latch.write() = Page::TableLeaf(PaxLeaf::new());
+        let out = self.write_leaf(fresh).table_append(layout, alloc, tuple, under_latch)?;
+        self.link_right(&mut meta, &mut reserve, last.fid, &row_key(out.0), fresh)?;
+        Ok(out)
     }
 
     /// Read `row_id` under a shared leaf latch. `f` also receives the
@@ -578,19 +293,7 @@ impl BTree {
         f: impl FnOnce(&PaxLeaf, usize, RowId, FrameId) -> R,
     ) -> Result<Option<R>> {
         debug_assert_eq!(self.kind, TreeKind::Table);
-        let key = row_key(row_id);
-        let (fid, guard, _) = self.descend::<false, false>(&key)?;
-        let Page::TableLeaf(leaf) = guard.page() else {
-            return Err(PhoebeError::internal("table descend hit non-table leaf"));
-        };
-        let out = leaf.find(row_id).map(|row| {
-            let first = leaf.first_row_id().expect("non-empty leaf");
-            f(leaf, row, first, fid)
-        });
-        if out.is_some() {
-            self.pool.touch(fid);
-        }
-        Ok(out)
+        self.leaf(&row_key(row_id), false)?.table_read(row_id, f)
     }
 
     /// Mutate the row under an exclusive leaf latch (in-place update path).
@@ -600,20 +303,7 @@ impl BTree {
         f: impl FnOnce(&mut PaxLeaf, usize, RowId, FrameId) -> R,
     ) -> Result<Option<R>> {
         debug_assert_eq!(self.kind, TreeKind::Table);
-        let key = row_key(row_id);
-        let (fid, mut guard, _) = self.descend::<true, false>(&key)?;
-        let Page::TableLeaf(leaf) = guard.page_mut() else {
-            return Err(PhoebeError::internal("table descend hit non-table leaf"));
-        };
-        let out = leaf.find(row_id).map(|row| {
-            let first = leaf.first_row_id().expect("non-empty leaf");
-            f(leaf, row, first, fid)
-        });
-        if out.is_some() {
-            self.mark_dirty(fid);
-            self.pool.touch(fid);
-        }
-        Ok(out)
+        self.leaf(&row_key(row_id), true)?.table_modify(row_id, f)
     }
 
     /// Visit every leaf left-to-right under shared latches (one at a time).
@@ -622,14 +312,11 @@ impl BTree {
         debug_assert_eq!(self.kind, TreeKind::Table);
         let mut lo = SmallKey::from_slice(&[0u8; 8]);
         loop {
-            let (fid, guard, next) = self.descend::<false, true>(&lo)?;
-            let Page::TableLeaf(leaf) = guard.page() else {
-                return Err(PhoebeError::internal("table descend hit non-table leaf"));
-            };
-            if !f(fid, leaf) {
+            let (leaf, next) = self.cursor(&lo, false).run::<true>()?;
+            if !f(leaf.fid, leaf.pax()?) {
                 return Ok(());
             }
-            drop(guard);
+            drop(leaf);
             match next {
                 Some(s) => lo = s,
                 None => return Ok(()),
@@ -647,194 +334,6 @@ impl BTree {
         self.pool.frame(fid).meta.page_gsn.fetch_max(gsn, Ordering::Relaxed);
     }
 
-    /// Pessimistic growth for table trees: walk the right spine with
-    /// exclusive crabbing, splitting full inner nodes preemptively, then
-    /// hang a fresh empty leaf for `row_id` and append into it.
-    fn grow_table(
-        &self,
-        layout: &PaxLayout,
-        row_id: RowId,
-        tuple: &[Value],
-        under_latch: impl FnOnce(&mut PaxLeaf, usize, RowId, FrameId),
-    ) -> Result<(FrameId, RowId)> {
-        let key = row_key(row_id);
-        // Pre-reserve frames before taking any latch: allocating under an
-        // exclusive latch would starve eviction of every child of that node.
-        let mut reserve = self.pool.reserve(6);
-        let mut meta = self.meta.write();
-        // Root may itself be the full leaf.
-        let root_fid = meta.root.frame().expect("root is always hot");
-        if meta.height == 1 {
-            let root_guard = self.pool.frame(root_fid).latch.write();
-            let Page::TableLeaf(leaf) = &*root_guard else {
-                return Err(PhoebeError::internal("corrupt root"));
-            };
-            if !leaf.is_full(layout) {
-                drop(root_guard);
-                drop(meta);
-                return self.table_append(layout, row_id, tuple, under_latch);
-            }
-            drop(root_guard);
-            let new_root = reserve.take()?;
-            {
-                let mut g = self.pool.frame(new_root).latch.write();
-                let mut inner = InnerNode::default();
-                inner.children[0] = Swip::hot(root_fid).raw();
-                *g = Page::Inner(inner);
-            }
-            self.pool.frame(new_root).meta.parent.store(NO_PARENT, Ordering::Relaxed);
-            self.pool.frame(root_fid).meta.parent.store(new_root, Ordering::Relaxed);
-            self.mark_dirty(new_root);
-            meta.root = Swip::hot(new_root);
-            meta.height += 1;
-        }
-
-        // Crab down the right spine.
-        let mut cur = meta.root.frame().expect("root hot");
-        let mut level = meta.height;
-        let mut guard = self.pool.frame(cur).latch.write();
-        loop {
-            // Preemptively split a full inner so a child split always fits.
-            if let Page::Inner(n) = &*guard {
-                if n.is_full() {
-                    let parent_hint = self.pool.frame(cur).meta.parent.load(Ordering::Relaxed);
-                    let (right_fid, sep) = self.split_inner(&mut reserve, &mut guard)?;
-                    if parent_hint == NO_PARENT {
-                        // cur was the root: grow a new root.
-                        let new_root = reserve.take()?;
-                        {
-                            let mut g = self.pool.frame(new_root).latch.write();
-                            let mut inner = InnerNode::default();
-                            inner.children[0] = Swip::hot(cur).raw();
-                            inner.insert_separator(0, &sep, Swip::hot(right_fid).raw());
-                            *g = Page::Inner(inner);
-                        }
-                        self.pool.frame(new_root).meta.parent.store(NO_PARENT, Ordering::Relaxed);
-                        self.pool.frame(cur).meta.parent.store(new_root, Ordering::Relaxed);
-                        self.pool.frame(right_fid).meta.parent.store(new_root, Ordering::Relaxed);
-                        self.mark_dirty(new_root);
-                        meta.root = Swip::hot(new_root);
-                        meta.height += 1;
-                    } else {
-                        // Parent has room (preemptive invariant).
-                        let mut pg = self.pool.frame(parent_hint).latch.write();
-                        let Page::Inner(pn) = &mut *pg else {
-                            return Err(PhoebeError::internal("parent hint corrupt"));
-                        };
-                        let slot = pn
-                            .find_child_slot(Swip::hot(cur).raw())
-                            .ok_or_else(|| PhoebeError::internal("child slot missing"))?;
-                        pn.insert_separator(slot, &sep, Swip::hot(right_fid).raw());
-                        self.pool
-                            .frame(right_fid)
-                            .meta
-                            .parent
-                            .store(parent_hint, Ordering::Relaxed);
-                        self.mark_dirty(parent_hint);
-                    }
-                    // Re-route: the key may now belong right of the split.
-                    if key.as_slice() >= sep.as_slice() {
-                        drop(guard);
-                        cur = right_fid;
-                        guard = self.pool.frame(cur).latch.write();
-                    }
-                    continue;
-                }
-            }
-            match &mut *guard {
-                Page::Inner(n) => {
-                    if level == 2 {
-                        // The child is the (full) rightmost leaf: hang a new
-                        // empty leaf for row ids >= row_id.
-                        let idx = n.child_index(&key);
-                        let child = Swip::from_raw(n.children[idx]);
-                        let full = match child.state() {
-                            SwipState::Hot(f) | SwipState::Cooling(f) => {
-                                self.pool.frame(f).latch.read().table_leaf_full(layout)
-                            }
-                            SwipState::Cold(_) => false, // must load to know
-                        };
-                        if !full {
-                            // Either not full (raced) or cold: retry fast path.
-                            drop(guard);
-                            drop(meta);
-                            return self.table_append(layout, row_id, tuple, under_latch);
-                        }
-                        let new_leaf = reserve.take()?;
-                        {
-                            let mut g = self.pool.frame(new_leaf).latch.write();
-                            let mut leaf = PaxLeaf::new();
-                            let idx0 = leaf.append(layout, row_id, tuple);
-                            under_latch(&mut leaf, idx0, row_id, new_leaf);
-                            *g = Page::TableLeaf(leaf);
-                        }
-                        self.pool.frame(new_leaf).meta.parent.store(cur, Ordering::Relaxed);
-                        n.insert_separator(idx, &key, Swip::hot(new_leaf).raw());
-                        self.mark_dirty(cur);
-                        self.mark_dirty(new_leaf);
-                        return Ok((new_leaf, row_id));
-                    }
-                    let idx = n.child_index(&key);
-                    let child = Swip::from_raw(n.children[idx]);
-                    let next = match child.state() {
-                        SwipState::Hot(f) | SwipState::Cooling(f) => f,
-                        SwipState::Cold(pid) => {
-                            let f = reserve.take()?;
-                            self.pool.read_into_frame(f, pid, cur)?;
-                            n.children[idx] = Swip::hot(f).raw();
-                            self.mark_dirty(cur);
-                            f
-                        }
-                    };
-                    let next_guard = self.pool.frame(next).latch.write();
-                    drop(guard);
-                    cur = next;
-                    guard = next_guard;
-                    level -= 1;
-                }
-                Page::TableLeaf(leaf) => {
-                    // height == 1 case resolved above; reaching a leaf here
-                    // means it has room (preemptive splits above).
-                    if leaf.is_full(layout) {
-                        return Err(PhoebeError::internal("leaf full on pessimistic path"));
-                    }
-                    let idx = leaf.append(layout, row_id, tuple);
-                    let first = leaf.first_row_id().expect("non-empty leaf");
-                    under_latch(leaf, idx, first, cur);
-                    self.mark_dirty(cur);
-                    return Ok((cur, first));
-                }
-                _ => return Err(PhoebeError::internal("unexpected page kind in table tree")),
-            }
-        }
-    }
-
-    /// Split an exclusively held inner node; returns the new right sibling's
-    /// frame and the promoted separator. Updates moved children's parent
-    /// hints.
-    fn split_inner(
-        &self,
-        reserve: &mut crate::buffer::FrameReserve,
-        guard: &mut WriteGuard<'_, Page>,
-    ) -> Result<(FrameId, Vec<u8>)> {
-        let right_fid = reserve.take()?;
-        let Page::Inner(n) = &mut **guard else {
-            return Err(PhoebeError::internal("split_inner on non-inner"));
-        };
-        let (right, sep) = n.split();
-        for i in 0..=right.count as usize {
-            if let Some(f) = Swip::from_raw(right.children[i]).frame() {
-                self.pool.frame(f).meta.parent.store(right_fid, Ordering::Relaxed);
-            }
-        }
-        {
-            let mut g = self.pool.frame(right_fid).latch.write();
-            *g = Page::Inner(right);
-        }
-        self.mark_dirty(right_fid);
-        Ok((right_fid, sep))
-    }
-
     // ------------------------------------------------------------------
     // Index operations
     // ------------------------------------------------------------------
@@ -842,47 +341,43 @@ impl BTree {
     /// Insert `(key, row_id)`; `Err(DuplicateKey)` if the key exists.
     pub fn index_insert(&self, key: &[u8], row_id: RowId) -> Result<()> {
         debug_assert_eq!(self.kind, TreeKind::Index);
-        {
-            let (fid, mut guard, _) = self.descend::<true, false>(key)?;
-            if let Page::IndexLeaf(leaf) = guard.page_mut() {
-                if !leaf.is_full() {
-                    return if leaf.insert(key, row_id.raw()) {
-                        self.mark_dirty(fid);
-                        self.pool.touch(fid);
-                        Ok(())
-                    } else {
-                        Err(PhoebeError::DuplicateKey { index: self.table })
-                    };
-                }
-            } else {
-                return Err(PhoebeError::internal("index descend hit non-index leaf"));
+        if self.leaf(key, true)?.index_insert(key, row_id)? {
+            return Ok(());
+        }
+        // Leaf full: split it on the pessimistic path. Frames are reserved
+        // before any latch is taken: allocating under an exclusive latch
+        // would starve eviction of every child of that node.
+        let mut reserve = self.pool.reserve(8);
+        let mut meta = self.meta.write();
+        let mut leaf = self.crab(&mut meta, &mut reserve, key)?;
+        if leaf.index_leaf()?.is_full() {
+            let (right, sep) = leaf.index_leaf_mut()?.split();
+            let right_fid = reserve.take()?;
+            *self.pool.frame(right_fid).latch.write() = Page::IndexLeaf(right);
+            self.mark_dirty(leaf.fid);
+            self.mark_dirty(right_fid);
+            self.link_right(&mut meta, &mut reserve, leaf.fid, &sep, right_fid)?;
+            if key >= sep.as_slice() {
+                leaf = self.write_leaf(right_fid);
             }
         }
-        self.index_insert_pessimistic(key, row_id)
+        if leaf.index_insert(key, row_id)? {
+            Ok(())
+        } else {
+            Err(PhoebeError::internal("index leaf full after its split"))
+        }
     }
 
     /// Exact lookup.
     pub fn index_get(&self, key: &[u8]) -> Result<Option<RowId>> {
         debug_assert_eq!(self.kind, TreeKind::Index);
-        let (_fid, guard, _) = self.descend::<false, false>(key)?;
-        let Page::IndexLeaf(leaf) = guard.page() else {
-            return Err(PhoebeError::internal("index descend hit non-index leaf"));
-        };
-        Ok(leaf.get(key).map(RowId))
+        self.leaf(key, false)?.index_get(key)
     }
 
     /// Remove `key`; returns the row id it mapped to.
     pub fn index_remove(&self, key: &[u8]) -> Result<Option<RowId>> {
         debug_assert_eq!(self.kind, TreeKind::Index);
-        let (fid, mut guard, _) = self.descend::<true, false>(key)?;
-        let Page::IndexLeaf(leaf) = guard.page_mut() else {
-            return Err(PhoebeError::internal("index descend hit non-index leaf"));
-        };
-        let out = leaf.remove(key).map(RowId);
-        if out.is_some() {
-            self.mark_dirty(fid);
-        }
-        Ok(out)
+        self.leaf(key, true)?.index_remove(key)
     }
 
     /// Visit entries with `low <= key <= high` in order; `f` returns
@@ -897,21 +392,15 @@ impl BTree {
         debug_assert_eq!(self.kind, TreeKind::Index);
         let mut lo = SmallKey::from_slice(low);
         loop {
-            let (_fid, guard, next) = self.descend::<false, true>(&lo)?;
-            let Page::IndexLeaf(leaf) = guard.page() else {
-                return Err(PhoebeError::internal("index descend hit non-index leaf"));
-            };
-            let start = leaf.lower_bound(&lo);
-            for i in start..leaf.count as usize {
-                let k = leaf.key(i);
-                if k > high {
-                    return Ok(());
-                }
-                if !f(k, RowId(leaf.row_ids[i])) {
+            let (leaf, next) = self.cursor(&lo, false).run::<true>()?;
+            let entries = leaf.index_leaf()?;
+            for i in entries.lower_bound(&lo)..entries.count as usize {
+                let k = entries.key(i);
+                if k > high || !f(k, RowId(entries.row_ids[i])) {
                     return Ok(());
                 }
             }
-            drop(guard);
+            drop(leaf);
             match next {
                 Some(s) if s.as_slice() <= high => lo = s,
                 _ => return Ok(()),
@@ -919,157 +408,141 @@ impl BTree {
         }
     }
 
-    /// Pessimistic insert with preemptive splitting (index trees).
-    fn index_insert_pessimistic(&self, key: &[u8], row_id: RowId) -> Result<()> {
-        // See grow_table: frames must be reserved before latching.
-        let mut reserve = self.pool.reserve(8);
-        let mut meta = self.meta.write();
-        let root_fid = meta.root.frame().expect("root is always hot");
-        // Root leaf split.
-        if meta.height == 1 {
-            let mut root_guard = self.pool.frame(root_fid).latch.write();
-            let Page::IndexLeaf(leaf) = &mut *root_guard else {
-                return Err(PhoebeError::internal("corrupt root"));
-            };
-            if leaf.is_full() {
-                let (right, sep) = leaf.split();
-                let right_fid = reserve.take()?;
-                {
-                    let mut g = self.pool.frame(right_fid).latch.write();
-                    *g = Page::IndexLeaf(right);
-                }
-                let new_root = reserve.take()?;
-                {
-                    let mut g = self.pool.frame(new_root).latch.write();
-                    let mut inner = InnerNode::default();
-                    inner.children[0] = Swip::hot(root_fid).raw();
-                    inner.insert_separator(0, &sep, Swip::hot(right_fid).raw());
-                    *g = Page::Inner(inner);
-                }
-                self.pool.frame(new_root).meta.parent.store(NO_PARENT, Ordering::Relaxed);
-                self.pool.frame(root_fid).meta.parent.store(new_root, Ordering::Relaxed);
-                self.pool.frame(right_fid).meta.parent.store(new_root, Ordering::Relaxed);
-                self.mark_dirty(root_fid);
-                self.mark_dirty(right_fid);
-                self.mark_dirty(new_root);
-                meta.root = Swip::hot(new_root);
-                meta.height += 1;
-            }
-            drop(root_guard);
-        }
-        if meta.height == 1 {
-            // Still a leaf root (it had room after all); plain insert.
-            let mut g = self.pool.frame(meta.root.frame().expect("hot")).latch.write();
-            let Page::IndexLeaf(leaf) = &mut *g else {
-                return Err(PhoebeError::internal("corrupt root"));
-            };
-            return if leaf.insert(key, row_id.raw()) {
-                Ok(())
-            } else {
-                Err(PhoebeError::DuplicateKey { index: self.table })
-            };
-        }
+    // ------------------------------------------------------------------
+    // Structure modification (pessimistic path)
+    // ------------------------------------------------------------------
 
-        // Crab down, splitting full nodes preemptively.
-        let mut cur = meta.root.frame().expect("hot");
+    /// The pessimistic descent shared by table appends and index inserts:
+    /// under the tree-meta write latch, crab exclusive latches from the
+    /// root to the leaf for `key`, splitting every full inner node on the
+    /// way so a split below always fits into its parent. A cold child is
+    /// loaded inline; a Cooling one is heated while its parent is held, so
+    /// no node this path latches can be staged or evicted under it.
+    /// Returns the leaf, exclusively latched; its parent is released
+    /// ([`BTree::link_right`] re-latches it through the parent hint).
+    fn crab(
+        &self,
+        meta: &mut TreeMeta,
+        reserve: &mut FrameReserve,
+        key: &[u8],
+    ) -> Result<BatchLeaf<'_>> {
+        let mut cur = meta.root.frame().expect("root is always hot");
         let mut guard = self.pool.frame(cur).latch.write();
-        loop {
-            if let Page::Inner(n) = &*guard {
-                if n.is_full() {
-                    let parent_hint = self.pool.frame(cur).meta.parent.load(Ordering::Relaxed);
-                    let (right_fid, sep) = self.split_inner(&mut reserve, &mut guard)?;
-                    if parent_hint == NO_PARENT {
-                        let new_root = reserve.take()?;
-                        {
-                            let mut g = self.pool.frame(new_root).latch.write();
-                            let mut inner = InnerNode::default();
-                            inner.children[0] = Swip::hot(cur).raw();
-                            inner.insert_separator(0, &sep, Swip::hot(right_fid).raw());
-                            *g = Page::Inner(inner);
-                        }
-                        self.pool.frame(new_root).meta.parent.store(NO_PARENT, Ordering::Relaxed);
-                        self.pool.frame(cur).meta.parent.store(new_root, Ordering::Relaxed);
-                        self.pool.frame(right_fid).meta.parent.store(new_root, Ordering::Relaxed);
-                        self.mark_dirty(new_root);
-                        meta.root = Swip::hot(new_root);
-                        meta.height += 1;
-                    } else {
-                        let mut pg = self.pool.frame(parent_hint).latch.write();
-                        let Page::Inner(pn) = &mut *pg else {
-                            return Err(PhoebeError::internal("parent hint corrupt"));
-                        };
-                        let slot = pn
-                            .find_child_slot(Swip::hot(cur).raw())
-                            .ok_or_else(|| PhoebeError::internal("child slot missing"))?;
-                        pn.insert_separator(slot, &sep, Swip::hot(right_fid).raw());
-                        self.pool
-                            .frame(right_fid)
-                            .meta
-                            .parent
-                            .store(parent_hint, Ordering::Relaxed);
-                        self.mark_dirty(parent_hint);
-                    }
-                    if key >= sep.as_slice() {
-                        drop(guard);
-                        cur = right_fid;
-                        guard = self.pool.frame(cur).latch.write();
-                    }
-                    continue;
+        for _ in 1..meta.height {
+            if matches!(&*guard, Page::Inner(n) if n.is_full()) {
+                let (right, right_guard, sep) =
+                    self.split_and_link(meta, reserve, cur, &mut guard)?;
+                if key >= sep.as_slice() {
+                    cur = right;
+                    guard = right_guard;
                 }
             }
-            match &mut *guard {
-                Page::Inner(n) => {
-                    let idx = n.child_index(key);
-                    let child = Swip::from_raw(n.children[idx]);
-                    let next = match child.state() {
-                        SwipState::Hot(f) | SwipState::Cooling(f) => f,
-                        SwipState::Cold(pid) => {
-                            let f = reserve.take()?;
-                            self.pool.read_into_frame(f, pid, cur)?;
-                            n.children[idx] = Swip::hot(f).raw();
-                            self.mark_dirty(cur);
-                            f
-                        }
-                    };
-                    let mut next_guard = self.pool.frame(next).latch.write();
-                    // Split a full child leaf while we still hold its parent.
-                    if let Page::IndexLeaf(leaf) = &mut *next_guard {
-                        if leaf.is_full() {
-                            let (right, sep) = leaf.split();
-                            let right_fid = reserve.take()?;
-                            {
-                                let mut g = self.pool.frame(right_fid).latch.write();
-                                *g = Page::IndexLeaf(right);
-                            }
-                            self.pool.frame(right_fid).meta.parent.store(cur, Ordering::Relaxed);
-                            n.insert_separator(idx, &sep, Swip::hot(right_fid).raw());
-                            self.mark_dirty(cur);
-                            self.mark_dirty(next);
-                            self.mark_dirty(right_fid);
-                            if key >= sep.as_slice() {
-                                drop(next_guard);
-                                drop(guard);
-                                cur = right_fid;
-                                guard = self.pool.frame(cur).latch.write();
-                                continue;
-                            }
-                        }
-                    }
-                    drop(guard);
-                    cur = next;
-                    guard = next_guard;
+            let Page::Inner(n) = &mut *guard else {
+                return Err(PhoebeError::internal("leaf above level 1"));
+            };
+            let slot = n.child_index(key);
+            let next = match Swip::from_raw(n.children[slot]).state() {
+                SwipState::Hot(f) => f,
+                SwipState::Cooling(f) => {
+                    BufferPool::heat_in_parent(n, slot);
+                    f
                 }
-                Page::IndexLeaf(leaf) => {
-                    return if leaf.insert(key, row_id.raw()) {
-                        self.mark_dirty(cur);
-                        Ok(())
-                    } else {
-                        Err(PhoebeError::DuplicateKey { index: self.table })
-                    };
+                SwipState::Cold(pid) => {
+                    let f = reserve.take()?;
+                    self.pool.read_into_frame(f, pid, cur)?;
+                    n.children[slot] = Swip::hot(f).raw();
+                    self.mark_dirty(cur);
+                    f
                 }
-                _ => return Err(PhoebeError::internal("unexpected page kind in index tree")),
+            };
+            let next_guard = self.pool.frame(next).latch.write();
+            drop(guard);
+            cur = next;
+            guard = next_guard;
+        }
+        Ok(BatchLeaf { tree: self, fid: cur, guard: LeafGuard::Write(guard) })
+    }
+
+    /// Split the full inner node `cur` (exclusively held) and link the
+    /// right half into its parent. Returns the right half, still
+    /// exclusively latched so it cannot be staged before the crab enters
+    /// it, and the separator between the two.
+    fn split_and_link<'a>(
+        &'a self,
+        meta: &mut TreeMeta,
+        reserve: &mut FrameReserve,
+        cur: FrameId,
+        guard: &mut WriteGuard<'_, Page>,
+    ) -> Result<(FrameId, WriteGuard<'a, Page>, Vec<u8>)> {
+        let right_fid = reserve.take()?;
+        let Page::Inner(n) = &mut **guard else {
+            return Err(PhoebeError::internal("split of a non-inner node"));
+        };
+        let (right, sep) = n.split();
+        for i in 0..=right.count as usize {
+            if let Some(f) = Swip::from_raw(right.children[i]).frame() {
+                self.pool.frame(f).meta.parent.store(right_fid, Ordering::Relaxed);
             }
         }
+        let mut right_guard = self.pool.frame(right_fid).latch.write();
+        *right_guard = Page::Inner(right);
+        self.mark_dirty(cur);
+        self.mark_dirty(right_fid);
+        self.link_right(meta, reserve, cur, &sep, right_fid)?;
+        Ok((right_fid, right_guard, sep))
+    }
+
+    /// Link `right`, the new right sibling of `left`, into `left`'s parent
+    /// under separator `sep`, growing a new root above `left` when it is
+    /// the root. The caller holds `left`'s latch, so `left` cannot be
+    /// staged or evicted: its parent slot still reads `Hot(left)`.
+    fn link_right(
+        &self,
+        meta: &mut TreeMeta,
+        reserve: &mut FrameReserve,
+        left: FrameId,
+        sep: &[u8],
+        right: FrameId,
+    ) -> Result<()> {
+        let parent = if meta.root == Swip::hot(left) {
+            self.grow_root(meta, reserve, left)?
+        } else {
+            self.pool.frame(left).meta.parent.load(Ordering::Relaxed)
+        };
+        let mut pg = self.pool.frame(parent).latch.write();
+        let Page::Inner(pn) = &mut *pg else {
+            return Err(PhoebeError::internal("parent hint corrupt"));
+        };
+        let slot = pn
+            .find_child_slot(Swip::hot(left).raw())
+            .ok_or_else(|| PhoebeError::internal("child slot missing"))?;
+        pn.insert_separator(slot, sep, Swip::hot(right).raw());
+        self.pool.frame(right).meta.parent.store(parent, Ordering::Relaxed);
+        self.mark_dirty(parent);
+        Ok(())
+    }
+
+    /// Grow a new root with the current root `old` as its only child.
+    fn grow_root(
+        &self,
+        meta: &mut TreeMeta,
+        reserve: &mut FrameReserve,
+        old: FrameId,
+    ) -> Result<FrameId> {
+        let root = reserve.take()?;
+        let mut inner = InnerNode::default();
+        inner.children[0] = Swip::hot(old).raw();
+        *self.pool.frame(root).latch.write() = Page::Inner(inner);
+        self.pool.frame(root).meta.parent.store(NO_PARENT, Ordering::Relaxed);
+        self.pool.frame(old).meta.parent.store(root, Ordering::Relaxed);
+        self.mark_dirty(root);
+        meta.root = Swip::hot(root);
+        meta.height += 1;
+        Ok(root)
+    }
+
+    fn write_leaf(&self, fid: FrameId) -> BatchLeaf<'_> {
+        BatchLeaf { tree: self, fid, guard: LeafGuard::Write(self.pool.frame(fid).latch.write()) }
     }
 }
 
@@ -1113,7 +586,8 @@ enum CursorState {
     Done,
 }
 
-/// One resumable point-lookup descent (see [`BTree::batch_cursor`]).
+/// One optimistic descent — the only one in the tree (see
+/// [`BTree::batch_cursor`] and [`DescentCursor::run`]).
 ///
 /// The cursor carries only plain values between [`DescentCursor::step`]
 /// calls — swip, level, parent frame id plus its optimistic version stamp,
@@ -1158,14 +632,45 @@ pub enum DescentStep<'t> {
 
 impl<'t> DescentCursor<'t> {
     /// Advance the descent as far as it can go without waiting, then
-    /// report why it stopped. Mirrors [`BTree::descend`] hop for hop; on
-    /// any optimistic validation failure it restarts from the root (same
-    /// restart bookkeeping), but returns `Prefetched` first so sibling
+    /// report why it stopped. On any optimistic validation failure it
+    /// restarts from the root, but returns `Prefetched` first so sibling
     /// descents get the CPU while the conflict drains.
     pub fn step(&mut self) -> Result<DescentStep<'t>> {
         // No per-step component timer: a batch makes height+1 short steps
         // per key and two clock reads each would dominate the hop itself.
         // Batch descent cost is visible under the `batch_get` latency site.
+        self.advance::<false, false>(&mut None)
+    }
+
+    /// The blocking driver: run the descent to its leaf on the calling
+    /// thread. The hops are [`DescentCursor::step`]'s, except that a cold
+    /// child is loaded inline (then installed and re-armed exactly like a
+    /// ticket resume), no software prefetch is issued, and contention is
+    /// waited out by spinning. Returns the leaf and, when `FENCE`, its
+    /// fence (`None`: rightmost leaf).
+    ///
+    /// Range walks track the *fence*: the tightest upper bound on the
+    /// leaf's key range seen on the path, which is exactly the first key
+    /// of the next leaf. Point descents never copy separator bytes.
+    fn run<const FENCE: bool>(mut self) -> Result<(BatchLeaf<'t>, Option<SmallKey>)> {
+        // Figure 12's "latching" component: traversal latch work.
+        let _t = self.tree.metrics.timer(phoebe_common::metrics::Component::Latch);
+        let mut fence = None;
+        loop {
+            match self.advance::<true, FENCE>(&mut fence)? {
+                DescentStep::Leaf(leaf) => return Ok((leaf, fence)),
+                _ => std::hint::spin_loop(),
+            }
+        }
+    }
+
+    /// One driver call. `BLOCKING` and `FENCE` are fixed per call site at
+    /// compile time, so the batch path carries none of the other drivers'
+    /// branches; `fence` is the caller's, reset on every restart.
+    fn advance<const BLOCKING: bool, const FENCE: bool>(
+        &mut self,
+        fence: &mut Option<SmallKey>,
+    ) -> Result<DescentStep<'t>> {
         loop {
             match &self.state {
                 CursorState::Done => {
@@ -1184,16 +689,16 @@ impl<'t> DescentCursor<'t> {
                     self.parent_epoch = 0;
                     self.cur = root;
                     self.level = height;
+                    *fence = None;
                     self.state = CursorState::Hop;
                 }
                 CursorState::Hop => {
-                    if let Some(stop) = self.hop()? {
+                    if let Some(stop) = self.hop::<BLOCKING, FENCE>(fence)? {
                         return Ok(stop);
                     }
-                    // `None`: cold child discovered right after a hop —
-                    // loop so the fault branch runs in this same call
-                    // (one suspend, not a prefetch suspend followed by a
-                    // fault suspend).
+                    // `None`: keep hopping within this call (a blocking
+                    // hop, or a cold child discovered right after a hop —
+                    // one fault suspend, not a prefetch suspend first).
                 }
                 CursorState::Fault { ticket, .. } => {
                     if !ticket.is_done() {
@@ -1216,29 +721,38 @@ impl<'t> DescentCursor<'t> {
                         Err(PhoebeError::OutOfFrames) => return Ok(self.restart()),
                         Err(e) => return Err(e),
                     };
-                    if let Some((rearm, pepoch)) = self.tree.install_loaded(pfid, cold, fid, epoch)
-                    {
-                        // Resume mid-path: the child is hot in the slot we
-                        // just wrote, and the parent stamp is our own
-                        // install's release version — no root re-descent
-                        // through parents the page-swap duty is churning.
-                        self.parent = ParentRef::Node(pfid);
-                        self.parent_ver = rearm;
-                        self.parent_epoch = pepoch;
-                        self.cur = Swip::hot(fid);
-                        self.state = CursorState::Hop;
-                    }
-                    // Lost the install race: state is already `Start`, so
-                    // the descent re-routes from the root, exactly like
-                    // the blocking `fix_cold` path's `continue 'restart`.
+                    self.install::<FENCE>(pfid, cold, fid, epoch);
                 }
+            }
+        }
+    }
+
+    /// Install a loaded child into `pfid` and resume there: the child is
+    /// hot in the slot just written, and the parent stamp is the install's
+    /// own release version — no root re-descent through parents the
+    /// page-swap duty is churning. A lost install race leaves the state
+    /// `Start`, so the descent re-routes from the root. So does a fence
+    /// cursor: the re-armed stamp covers the parent only, while the fence
+    /// may come from an ancestor that split during the read.
+    fn install<const FENCE: bool>(&mut self, pfid: FrameId, cold: Swip, fid: FrameId, epoch: u64) {
+        self.state = CursorState::Start;
+        if let Some((rearm, pepoch)) = self.tree.install_loaded(pfid, cold, fid, epoch) {
+            if !FENCE {
+                self.parent = ParentRef::Node(pfid);
+                self.parent_ver = rearm;
+                self.parent_epoch = pepoch;
+                self.cur = Swip::hot(fid);
+                self.state = CursorState::Hop;
             }
         }
     }
 
     /// One hop of the descent. `Ok(Some(_))` stops the step (suspend or
     /// leaf); `Ok(None)` means "loop again within this step".
-    fn hop(&mut self) -> Result<Option<DescentStep<'t>>> {
+    fn hop<const BLOCKING: bool, const FENCE: bool>(
+        &mut self,
+        fence: &mut Option<SmallKey>,
+    ) -> Result<Option<DescentStep<'t>>> {
         let tree = self.tree;
         let fid = match self.cur.state() {
             SwipState::Hot(f) => f,
@@ -1257,15 +771,20 @@ impl<'t> DescentCursor<'t> {
                 // siblings instead of kicking yet another frame-holding
                 // load. The state stays `Hop`, so the next step re-checks
                 // the budget — it frees as sibling faults install.
-                if !tree.pool.fault_budget_available() {
+                if !BLOCKING && !tree.pool.fault_budget_available() {
                     return Ok(Some(DescentStep::Prefetched));
                 }
-                // Kick the read to the background loader and suspend —
-                // the blocking path would eat the whole I/O right here.
-                // Epoch before the kick, so the loader's read is ordered
-                // after the capture and the install can reject a frame
-                // made stale by a concurrent install/evict cycle.
+                // Epoch before the read, so the install can reject a
+                // frame made stale by a concurrent install/evict cycle.
                 let epoch = tree.pool.fault_epoch(pid);
+                if BLOCKING {
+                    // Allocation and read I/O run before the parent latch
+                    // is taken, so eviction can always make progress.
+                    let fid = tree.pool.load_cold(pid, pfid)?;
+                    self.install::<FENCE>(pfid, self.cur, fid, epoch);
+                    return Ok(None);
+                }
+                // Kick the read to the background loader and suspend.
                 let ticket = tree.pool.start_fault(pid, pfid);
                 tree.metrics.incr(Counter::FaultSuspends);
                 self.state = CursorState::Fault { ticket, pfid, cold: self.cur, epoch };
@@ -1283,9 +802,12 @@ impl<'t> DescentCursor<'t> {
             // re-reading the parent slot: we hold the leaf latch, so if
             // the parent routes this key here *right now*, this is the
             // right leaf no matter how often the stamp was bumped while
-            // we were suspended.
-            let on_track =
-                tree.validate_parent(&self.parent, self.parent_ver) || self.parent_routes_to(fid);
+            // we were suspended. Not for a fence cursor: a leaf split that
+            // still routes the key here tightens the fence without
+            // changing the route, and a stale fence would make the range
+            // walk skip the new right sibling.
+            let on_track = tree.validate_parent(&self.parent, self.parent_ver)
+                || (!FENCE && self.parent_routes_to(fid));
             if !on_track {
                 drop(guard);
                 return Ok(Some(self.restart()));
@@ -1296,20 +818,33 @@ impl<'t> DescentCursor<'t> {
         // Inner hop: read the child slot optimistically. The reuse epoch
         // is captured *before* the read: if it still matches at a later
         // `parent_routes_to` check, no recycle happened in between, so
-        // the frame still holds the node this validated read saw.
-        let fid_epoch = frame.meta.reuse_epoch();
+        // the frame still holds the node this validated read saw. The
+        // blocking driver revalidates by slot only at the leaf, whose
+        // latch can block (an inner hop's window is a few loads wide), so
+        // it pays for the epoch — a cache line away from the latch — only
+        // on the leaf's parent.
+        let slot_check = !BLOCKING || self.level == 2;
+        let fid_epoch = if slot_check { frame.meta.reuse_epoch() } else { 0 };
         let key = &self.key;
+        let mut sep = None;
         let Some((read, ver)) = frame.latch.optimistic_versioned(|p| match p {
-            Page::Inner(n) => Some(n.children[n.child_index(key)]),
+            Page::Inner(n) => {
+                let i = n.child_index(key);
+                if FENCE && i < n.key_count() {
+                    sep = Some(SmallKey::from_slice(n.key(i)));
+                }
+                Some(n.children[i])
+            }
             _ => None,
         }) else {
             return Ok(Some(self.restart()));
         };
-        // Same slow-path revalidation as the leaf, with one extra check:
-        // no latch is held here, so the child slot we just read is only
-        // trustworthy if this frame's own version is also unchanged.
+        // Same slow-path revalidation as the leaf (and the same fence
+        // rule), with one extra check: no latch is held here, so the child
+        // slot we just read is only trustworthy if this frame's own
+        // version is also unchanged.
         let on_track = tree.validate_parent(&self.parent, self.parent_ver)
-            || (self.parent_routes_to(fid) && frame.latch.validate(ver));
+            || (!BLOCKING && !FENCE && self.parent_routes_to(fid) && frame.latch.validate(ver));
         if !on_track {
             return Ok(Some(self.restart()));
         }
@@ -1317,13 +852,16 @@ impl<'t> DescentCursor<'t> {
             // Frame was repurposed under us.
             return Ok(Some(self.restart()));
         };
+        if sep.is_some() {
+            *fence = sep;
+        }
         self.parent = ParentRef::Node(fid);
         self.parent_ver = ver;
         self.parent_epoch = fid_epoch;
         self.cur = Swip::from_raw(child_raw);
         self.level -= 1;
         match self.cur.state() {
-            SwipState::Hot(cf) | SwipState::Cooling(cf) => {
+            SwipState::Hot(cf) | SwipState::Cooling(cf) if !BLOCKING => {
                 // Pull the child frame's header and first node lines
                 // toward L1, then suspend: a sibling descent runs while
                 // the lines arrive, hiding the stall (§7.1).
@@ -1331,14 +869,14 @@ impl<'t> DescentCursor<'t> {
                 tree.metrics.incr(Counter::PrefetchesIssued);
                 Ok(Some(DescentStep::Prefetched))
             }
-            // Cold child: no point prefetch-suspending on the way to a
-            // disk read — loop so this same step kicks the fault.
-            SwipState::Cold(_) => Ok(None),
+            // Blocking, or a cold child: no point prefetch-suspending on
+            // the way to a disk read — loop so this same step faults.
+            _ => Ok(None),
         }
     }
 
-    /// Restart bookkeeping (shared with the blocking descent via
-    /// [`BTree::note_restart`]), then back off to the siblings.
+    /// Restart bookkeeping (see [`BTree::note_restart`]), then back off to
+    /// the siblings.
     fn restart(&mut self) -> DescentStep<'t> {
         self.tree.note_restart(&mut self.attempt);
         self.state = CursorState::Start;
@@ -1397,10 +935,10 @@ impl<'t> DescentCursor<'t> {
     }
 }
 
-/// A latched leaf delivered by a finished [`DescentCursor`]: the same
-/// entry points as [`BTree::table_read`] / [`BTree::table_modify`] /
-/// [`BTree::index_get`] minus the descent, so the touch/dirty bookkeeping
-/// stays inside the storage crate. Dropping it releases the leaf latch.
+/// A latched leaf delivered by a finished [`DescentCursor`]. Its methods
+/// are the tree's only leaf bodies: the [`BTree`] point operations are a
+/// descent plus one of these calls, so the touch/dirty bookkeeping stays
+/// inside the storage crate. Dropping it releases the leaf latch.
 pub struct BatchLeaf<'t> {
     tree: &'t BTree,
     fid: FrameId,
@@ -1408,15 +946,41 @@ pub struct BatchLeaf<'t> {
 }
 
 impl BatchLeaf<'_> {
-    /// Read `row_id` in this leaf (leaf-local [`BTree::table_read`]).
+    fn pax(&self) -> Result<&PaxLeaf> {
+        match self.guard.page() {
+            Page::TableLeaf(leaf) => Ok(leaf),
+            _ => Err(PhoebeError::internal("table descend hit non-table leaf")),
+        }
+    }
+
+    fn pax_mut(&mut self) -> Result<&mut PaxLeaf> {
+        match self.guard.page_mut() {
+            Page::TableLeaf(leaf) => Ok(leaf),
+            _ => Err(PhoebeError::internal("table descend hit non-table leaf")),
+        }
+    }
+
+    fn index_leaf(&self) -> Result<&IndexLeaf> {
+        match self.guard.page() {
+            Page::IndexLeaf(leaf) => Ok(leaf),
+            _ => Err(PhoebeError::internal("index descend hit non-index leaf")),
+        }
+    }
+
+    fn index_leaf_mut(&mut self) -> Result<&mut IndexLeaf> {
+        match self.guard.page_mut() {
+            Page::IndexLeaf(leaf) => Ok(leaf),
+            _ => Err(PhoebeError::internal("index descend hit non-index leaf")),
+        }
+    }
+
+    /// Read `row_id` in this leaf (see [`BTree::table_read`]).
     pub fn table_read<R>(
         &self,
         row_id: RowId,
         f: impl FnOnce(&PaxLeaf, usize, RowId, FrameId) -> R,
     ) -> Result<Option<R>> {
-        let Page::TableLeaf(leaf) = self.guard.page() else {
-            return Err(PhoebeError::internal("table descend hit non-table leaf"));
-        };
+        let leaf = self.pax()?;
         let out = leaf.find(row_id).map(|row| {
             let first = leaf.first_row_id().expect("non-empty leaf");
             f(leaf, row, first, self.fid)
@@ -1427,17 +991,15 @@ impl BatchLeaf<'_> {
         Ok(out)
     }
 
-    /// Mutate `row_id` in this leaf (leaf-local [`BTree::table_modify`];
-    /// requires a `write` cursor).
+    /// Mutate `row_id` in this leaf (see [`BTree::table_modify`]; requires
+    /// a `write` cursor).
     pub fn table_modify<R>(
         &mut self,
         row_id: RowId,
         f: impl FnOnce(&mut PaxLeaf, usize, RowId, FrameId) -> R,
     ) -> Result<Option<R>> {
         let fid = self.fid;
-        let Page::TableLeaf(leaf) = self.guard.page_mut() else {
-            return Err(PhoebeError::internal("table descend hit non-table leaf"));
-        };
+        let leaf = self.pax_mut()?;
         let out = leaf.find(row_id).map(|row| {
             let first = leaf.first_row_id().expect("non-empty leaf");
             f(leaf, row, first, fid)
@@ -1449,22 +1011,52 @@ impl BatchLeaf<'_> {
         Ok(out)
     }
 
-    /// Exact lookup in this leaf (leaf-local [`BTree::index_get`]).
-    pub fn index_get(&self, key: &[u8]) -> Result<Option<RowId>> {
-        let Page::IndexLeaf(leaf) = self.guard.page() else {
-            return Err(PhoebeError::internal("index descend hit non-index leaf"));
-        };
-        Ok(leaf.get(key).map(RowId))
+    /// Append under a row id drawn now, inside this leaf's exclusive latch
+    /// (see [`BTree::table_append_alloc`]). The leaf must have room.
+    fn table_append(
+        &mut self,
+        layout: &PaxLayout,
+        alloc: &(dyn Fn() -> RowId + Sync),
+        tuple: &[Value],
+        under_latch: impl FnOnce(&mut PaxLeaf, usize, RowId, FrameId),
+    ) -> Result<(RowId, FrameId, RowId)> {
+        let fid = self.fid;
+        let leaf = self.pax_mut()?;
+        let row_id = alloc();
+        let idx = leaf.append(layout, row_id, tuple);
+        let first = leaf.first_row_id().expect("non-empty leaf");
+        under_latch(leaf, idx, first, fid);
+        self.tree.mark_dirty(fid);
+        Ok((row_id, fid, first))
     }
-}
 
-trait TableLeafFull {
-    fn table_leaf_full(&self, layout: &PaxLayout) -> bool;
-}
+    /// Exact lookup in this leaf (see [`BTree::index_get`]).
+    pub fn index_get(&self, key: &[u8]) -> Result<Option<RowId>> {
+        Ok(self.index_leaf()?.get(key).map(RowId))
+    }
 
-impl TableLeafFull for ReadGuard<'_, Page> {
-    fn table_leaf_full(&self, layout: &PaxLayout) -> bool {
-        matches!(&**self, Page::TableLeaf(l) if l.is_full(layout))
+    /// Insert into this leaf: `Ok(false)` if it is full (the caller
+    /// splits), `Err(DuplicateKey)` if the key exists.
+    fn index_insert(&mut self, key: &[u8], row_id: RowId) -> Result<bool> {
+        let leaf = self.index_leaf_mut()?;
+        if leaf.is_full() {
+            return Ok(false);
+        }
+        if !leaf.insert(key, row_id.raw()) {
+            return Err(PhoebeError::DuplicateKey { index: self.tree.table });
+        }
+        self.tree.mark_dirty(self.fid);
+        self.tree.pool.touch(self.fid);
+        Ok(true)
+    }
+
+    /// Remove `key` from this leaf (see [`BTree::index_remove`]).
+    fn index_remove(&mut self, key: &[u8]) -> Result<Option<RowId>> {
+        let out = self.index_leaf_mut()?.remove(key).map(RowId);
+        if out.is_some() {
+            self.tree.mark_dirty(self.fid);
+        }
+        Ok(out)
     }
 }
 
@@ -1493,6 +1085,11 @@ mod tests {
         BTree::create(p, TableId(2), TreeKind::Index, Arc::new(Metrics::new(2))).unwrap()
     }
 
+    /// Append `tuple` under the explicit row id `row`.
+    fn append(t: &BTree, l: &PaxLayout, row: u64, tuple: &[Value]) {
+        t.table_append_alloc(l, &|| RowId(row), tuple, |_, _, _, _| {}).unwrap();
+    }
+
     fn tup(i: u64) -> Vec<Value> {
         vec![Value::I64(i as i64), Value::Str(format!("s{}", i % 100))]
     }
@@ -1501,7 +1098,7 @@ mod tests {
     fn table_append_and_point_reads() {
         let (t, l) = table_tree(256);
         for i in 1..=5_000u64 {
-            t.table_append(&l, RowId(i), &tup(i), |_, _, _, _| {}).unwrap();
+            append(&t, &l, i, &tup(i));
         }
         assert!(t.height() >= 2, "5k rows must split the root leaf");
         for i in (1..=5_000u64).step_by(97) {
@@ -1518,7 +1115,7 @@ mod tests {
     #[test]
     fn table_modify_updates_in_place() {
         let (t, l) = table_tree(64);
-        t.table_append(&l, RowId(7), &tup(7), |_, _, _, _| {}).unwrap();
+        append(&t, &l, 7, &tup(7));
         let changed = t
             .table_modify(RowId(7), |leaf, row, _, _| {
                 leaf.write_col(&l, row, 0, &Value::I64(-1));
@@ -1532,10 +1129,10 @@ mod tests {
     #[test]
     fn table_page_identity_is_stable_across_splits() {
         let (t, l) = table_tree(256);
-        t.table_append(&l, RowId(1), &tup(1), |_, _, _, _| {}).unwrap();
+        append(&t, &l, 1, &tup(1));
         let first_identity = t.table_read(RowId(1), |_, _, first, _| first).unwrap().unwrap();
         for i in 2..=4_000u64 {
-            t.table_append(&l, RowId(i), &tup(i), |_, _, _, _| {}).unwrap();
+            append(&t, &l, i, &tup(i));
         }
         // Row 1's leaf never changed identity despite thousands of appends.
         let identity_after = t.table_read(RowId(1), |_, _, first, _| first).unwrap().unwrap();
@@ -1546,7 +1143,7 @@ mod tests {
     fn table_for_each_leaf_walks_in_order() {
         let (t, l) = table_tree(256);
         for i in 1..=3_000u64 {
-            t.table_append(&l, RowId(i), &tup(i), |_, _, _, _| {}).unwrap();
+            append(&t, &l, i, &tup(i));
         }
         let mut firsts = Vec::new();
         t.table_for_each_leaf(|_, leaf| {
@@ -1657,7 +1254,7 @@ mod tests {
     fn batch_cursor_matches_blocking_reads_hot() {
         let (t, l) = table_tree(256);
         for i in 1..=5_000u64 {
-            t.table_append(&l, RowId(i), &tup(i), |_, _, _, _| {}).unwrap();
+            append(&t, &l, i, &tup(i));
         }
         assert!(t.height() >= 2);
         let mut suspended = 0u64;
@@ -1680,7 +1277,7 @@ mod tests {
     fn batch_cursor_write_mode_modifies_in_place() {
         let (t, l) = table_tree(256);
         for i in 1..=3_000u64 {
-            t.table_append(&l, RowId(i), &tup(i), |_, _, _, _| {}).unwrap();
+            append(&t, &l, i, &tup(i));
         }
         let (mut leaf, _, _) = drive(t.batch_cursor(&row_key(RowId(1_500)), true));
         let changed = leaf
@@ -1720,7 +1317,7 @@ mod tests {
         let t = BTree::create(p, TableId(1), TreeKind::Table, m.clone()).unwrap();
         let n = 20_000u64;
         for i in 1..=n {
-            t.table_append(&l, RowId(i), &tup(i), |_, _, _, _| {}).unwrap();
+            append(&t, &l, i, &tup(i));
         }
         let before = m.snapshot();
         for i in (1..=n).step_by(513) {
@@ -1748,7 +1345,7 @@ mod tests {
         let (t, l) = table_tree(24);
         let n = 20_000u64;
         for i in 1..=n {
-            t.table_append(&l, RowId(i), &tup(i), |_, _, _, _| {}).unwrap();
+            append(&t, &l, i, &tup(i));
         }
         let (reads, writes) = t.pool().io_counts();
         assert!(writes > 0, "eviction must have written pages");
@@ -1821,6 +1418,158 @@ mod tests {
         }
     }
 
+    /// Inner nodes reachable from the root (a quiescent, all-hot tree).
+    fn inner_nodes(t: &BTree) -> usize {
+        fn below(t: &BTree, fid: FrameId) -> usize {
+            let g = t.pool.frame(fid).latch.read();
+            let Page::Inner(n) = &*g else { return 0 };
+            let children = n.children[..=n.key_count()].iter();
+            1 + children
+                .map(|&c| Swip::from_raw(c).frame().map_or(0, |f| below(t, f)))
+                .sum::<usize>()
+        }
+        below(t, t.meta.optimistic(|m| m.root).unwrap().frame().unwrap())
+    }
+
+    /// Range walks run while two threads insert, forcing leaf and inner
+    /// splits under them. Every key present before a walk must come back,
+    /// in order, exactly once: a fence accepted without its version stamp
+    /// would make the walk skip a split-off right sibling.
+    #[test]
+    fn index_range_sees_every_prior_key_during_concurrent_splits() {
+        let t = Arc::new(index_tree(1024));
+        // Multiples of 4 exist up front (sequential inserts leave leaves
+        // half full); the writers fill in the other keys, tripling every
+        // leaf's entries, so every leaf splits and so does the root.
+        const N: u64 = 12_000;
+        for i in 0..N {
+            t.index_insert(&(4 * i).to_be_bytes(), RowId(4 * i)).unwrap();
+        }
+        let inner = inner_nodes(&t);
+        let writers: Vec<_> = (0..2u64)
+            .map(|w| {
+                let t = Arc::clone(&t);
+                std::thread::spawn(move || {
+                    for k in (0..4 * N).filter(|k| k % 4 != 0 && k % 2 == w) {
+                        t.index_insert(&k.to_be_bytes(), RowId(k)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let walk = || {
+            let (mut prev, mut prior) = (None, 0u64);
+            t.index_range(&[], &[0xff; 9], |k, r| {
+                let k = u64::from_be_bytes(k.try_into().unwrap());
+                assert!(prev < Some(k), "walk went backwards or repeated: {prev:?} then {k}");
+                assert_eq!(r.raw(), k);
+                prev = Some(k);
+                prior += u64::from(k % 4 == 0);
+                true
+            })
+            .unwrap();
+            assert_eq!(prior, N, "a prior key was skipped");
+        };
+        let mut walks = 0;
+        while walks == 0 || writers.iter().any(|w| !w.is_finished()) {
+            walk();
+            walks += 1;
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        walk();
+        assert!(inner_nodes(&t) >= inner + 2, "the writers must split inner nodes");
+    }
+
+    /// The fence rule, deterministically: a leaf split between a fence
+    /// cursor's last inner hop and its leaf arrival still routes the key
+    /// to the same leaf, but tightens its upper bound. The cursor must
+    /// notice (its stamp failed) and return the new, tighter fence.
+    #[test]
+    fn fence_cursor_rejects_a_leaf_whose_range_shrank() {
+        let t = index_tree(256);
+        for i in 0..1_000u64 {
+            t.index_insert(&(4 * i).to_be_bytes(), RowId(4 * i)).unwrap();
+        }
+        assert_eq!(t.height(), 2);
+        // Hop through the root: one batch-mode step stops before latching
+        // the first leaf, with the separator after that leaf as the fence.
+        let mut cur = t.cursor(&0u64.to_be_bytes(), false);
+        let mut fence = None;
+        let step = cur.advance::<false, true>(&mut fence).unwrap();
+        assert!(matches!(step, DescentStep::Prefetched));
+        let stale = fence.clone().expect("first leaf has a right neighbour");
+        // Split the first leaf: key 0 stays left, the leaf's range shrinks.
+        let fence_of_0 = || t.cursor(&0u64.to_be_bytes(), false).run::<true>().unwrap().1;
+        for k in (1..4 * 112u64).filter(|k| k % 4 != 0) {
+            if fence_of_0().as_ref() != Some(&stale) {
+                break;
+            }
+            t.index_insert(&k.to_be_bytes(), RowId(k)).unwrap();
+        }
+        let leaf = loop {
+            if let DescentStep::Leaf(leaf) = cur.advance::<true, true>(&mut fence).unwrap() {
+                break leaf;
+            }
+        };
+        let fence = fence.expect("still has a right neighbour");
+        assert!(fence.as_slice() < stale.as_slice(), "stale fence accepted after a leaf split");
+        assert!(leaf.index_leaf().unwrap().get(&0u64.to_be_bytes()).is_some());
+    }
+
+    /// The table twin of the index test: leaf walks while two threads
+    /// append (hanging fresh leaves and splitting the right spine) return
+    /// every prior row once, in row-id order.
+    #[test]
+    fn table_for_each_leaf_sees_every_prior_row_during_concurrent_appends() {
+        let p = pool(1024);
+        // Seven rows per leaf, so a few thousand rows overflow inner nodes.
+        let l = PaxLayout::for_schema(&Schema::new(vec![("s", ColType::Str(1998))]));
+        let t = Arc::new(
+            BTree::create(p, TableId(1), TreeKind::Table, Arc::new(Metrics::new(2))).unwrap(),
+        );
+        const PRIOR: u64 = 1_000;
+        let row = || vec![Value::Str("x".into())];
+        for i in 1..=PRIOR {
+            append(&t, &l, i, &row());
+        }
+        let inner = inner_nodes(&t);
+        let next = Arc::new(std::sync::atomic::AtomicU64::new(PRIOR + 1));
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                let (t, l, next) = (Arc::clone(&t), l.clone(), Arc::clone(&next));
+                std::thread::spawn(move || {
+                    // ORDERING: the leaf latch orders the appends; the
+                    // counter only has to hand out unique ids.
+                    let alloc = || RowId(next.fetch_add(1, Ordering::Relaxed));
+                    for _ in 0..1_500 {
+                        t.table_append_alloc(&l, &alloc, &row(), |_, _, _, _| {}).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let walk = || {
+            let mut rows = Vec::new();
+            t.table_for_each_leaf(|_, leaf| {
+                rows.extend((0..leaf.len()).map(|i| leaf.row_id_at(i).raw()));
+                true
+            })
+            .unwrap();
+            assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows out of order or repeated");
+            assert_eq!(rows.iter().take_while(|&&r| r <= PRIOR).count() as u64, PRIOR);
+        };
+        let mut walks = 0;
+        while walks == 0 || writers.iter().any(|w| !w.is_finished()) {
+            walk();
+            walks += 1;
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        walk();
+        assert!(inner_nodes(&t) >= inner + 2, "the appenders must split inner nodes");
+    }
+
     #[test]
     fn concurrent_table_appenders_on_disjoint_trees() {
         // Two tables sharing one pool: appends must not interfere.
@@ -1835,7 +1584,7 @@ mod tests {
             let (t, l) = (t1.clone(), l.clone());
             std::thread::spawn(move || {
                 for i in 1..=5_000u64 {
-                    t.table_append(&l, RowId(i), &[Value::I64(i as i64)], |_, _, _, _| {}).unwrap();
+                    append(&t, &l, i, &[Value::I64(i as i64)]);
                 }
             })
         };
@@ -1843,8 +1592,7 @@ mod tests {
             let (t, l) = (t2.clone(), l.clone());
             std::thread::spawn(move || {
                 for i in 1..=5_000u64 {
-                    t.table_append(&l, RowId(i), &[Value::I64(-(i as i64))], |_, _, _, _| {})
-                        .unwrap();
+                    append(&t, &l, i, &[Value::I64(-(i as i64))]);
                 }
             })
         };
@@ -1864,7 +1612,7 @@ mod tests {
         let layout = PaxLayout::for_schema(&schema);
         let t = BTree::create(p, TableId(1), TreeKind::Table, Arc::clone(&metrics)).unwrap();
         for i in 1..=2_000u64 {
-            t.table_append(&layout, RowId(i), &[Value::I64(i as i64)], |_, _, _, _| {}).unwrap();
+            append(&t, &layout, i, &[Value::I64(i as i64)]);
         }
         for i in (1..=2_000u64).step_by(37) {
             t.table_read(RowId(i), |leaf, r, _, _| leaf.read_col(&layout, r, 0)).unwrap();
@@ -1903,7 +1651,7 @@ mod tests {
             })
             .collect();
         for i in 1..=8_000u64 {
-            t.table_append(&layout, RowId(i), &[Value::I64(i as i64)], |_, _, _, _| {}).unwrap();
+            append(&t, &layout, i, &[Value::I64(i as i64)]);
         }
         // ORDERING: stop flag; the joins below order everything else.
         stop.store(true, Ordering::Relaxed);
@@ -1941,7 +1689,7 @@ mod tests {
     fn stale_fault_install_is_rejected_after_page_cycle() {
         let (t, l) = table_tree(256);
         for i in 1..=5_000u64 {
-            t.table_append(&l, RowId(i), &tup(i), |_, _, _, _| {}).unwrap();
+            append(&t, &l, i, &tup(i));
         }
         assert!(t.height() >= 2);
         let root_fid = {

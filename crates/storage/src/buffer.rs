@@ -519,18 +519,14 @@ impl BufferPool {
             return false; // root or free
         }
         // Only leaves, or inners whose children are all cold, may cool.
-        let evictable = self.frames[fid as usize]
-            .latch
-            .optimistic(|page| match page {
-                Page::Free => false,
-                Page::TableLeaf(_) | Page::IndexLeaf(_) => true,
-                Page::Inner(n) => (0..=n.count as usize)
-                    .all(|i| matches!(Swip::from_raw(n.children[i]).state(), SwipState::Cold(_))),
-            })
-            .unwrap_or(false);
-        if !evictable {
+        let latch = &self.frames[fid as usize].latch;
+        let Some((true, ver)) = latch.optimistic_versioned(|page| match page {
+            Page::Free => false,
+            Page::TableLeaf(_) | Page::IndexLeaf(_) => true,
+            Page::Inner(n) => n.all_children_cold(),
+        }) else {
             return false;
-        }
+        };
         let Some(mut pguard) = self.frames[parent as usize].latch.try_write() else {
             return false;
         };
@@ -540,6 +536,13 @@ impl BufferPool {
         let Some(slot) = pnode.find_child_slot(Swip::hot(fid).raw()) else {
             return false; // stale hint or already cooling
         };
+        // The check above ran before the parent latch: a writer that has
+        // latched the child since (the split crab entering it, an install
+        // into it) would not see the Cooling bit set under it, and the
+        // crab must find its held node Hot when it links a split.
+        if !latch.validate(ver) {
+            return false;
+        }
         pnode.children[slot] = Swip::cooling(fid).raw();
         true
     }
@@ -611,6 +614,18 @@ impl BufferPool {
         let Some(vguard) = self.frames[fid as usize].latch.try_write() else {
             return Ok(false);
         };
+        // An inner node is written out only when every child is cold,
+        // checked here under its latch. `try_stage` checked optimistically,
+        // and a child can be swizzled in through the Cooling node since (a
+        // descent that lost the `heat` try-latch loads a cold child).
+        // Writing the node now would persist raw frame ids and leave its
+        // hot children with a parent hint naming a recycled frame. Heat it
+        // instead, so it is not stranded Cooling and can be staged again
+        // once its children cool.
+        if matches!(&*vguard, Page::Inner(n) if !n.all_children_cold()) {
+            Self::heat_in_parent(pnode, slot);
+            return Ok(false);
+        }
         // Past this point the eviction goes through; time the write-out,
         // WAL barrier wait and unswizzle.
         let _evict = self.metrics.latency_timer(LatencySite::Eviction);
@@ -907,6 +922,72 @@ mod tests {
             assert!(!p.evict_one(0).unwrap(), "eviction must back off from a latched victim");
         }
         assert!(p.evict_one(0).unwrap(), "candidate lost to a latch race must stay evictable");
+    }
+
+    /// `try_stage` sees the inner node's children all cold, then a child
+    /// is swizzled back in through the Cooling node (what a descent does
+    /// when it loses the `heat` try-latch). Eviction must refuse the node
+    /// under its latch and heat it back, not write out a hot swip.
+    #[test]
+    fn inner_node_with_a_hot_child_is_never_written_out() {
+        use crate::node::InnerNode;
+        use crate::schema::{ColType, Schema, Value};
+        use phoebe_common::ids::RowId;
+
+        let p = pool(8, 1);
+        let schema = Schema::new(vec![("v", ColType::I64)]);
+        let layout = crate::pax::PaxLayout::for_schema(&schema);
+        // root -> inner -> leaf, built by hand.
+        let root = p.allocate().unwrap();
+        let inner = p.allocate().unwrap();
+        let leaf = p.allocate().unwrap();
+        let link = |parent: FrameId, child: FrameId| {
+            let mut n = InnerNode::default();
+            n.children[0] = Swip::hot(child).raw();
+            *p.frame(parent).latch.write() = Page::Inner(n);
+            p.frame(child).meta.parent.store(parent, Ordering::Relaxed);
+        };
+        {
+            let mut pax = crate::pax::PaxLeaf::new();
+            for r in 1..=3 {
+                pax.append(&layout, RowId(r), &[Value::I64(r as i64 * 10)]);
+            }
+            *p.frame(leaf).latch.write() = Page::TableLeaf(pax);
+        }
+        link(inner, leaf);
+        link(root, inner);
+        let child_of = |parent: FrameId| {
+            let g = p.frame(parent).latch.read();
+            let Page::Inner(n) = &*g else { panic!("parent is not inner") };
+            Swip::from_raw(n.children[0]).state()
+        };
+
+        // Page the leaf out; the inner node then has only cold children and
+        // stages as Cooling in the root.
+        p.stage_cooling(0, 8);
+        assert!(p.evict_one(0).unwrap());
+        let SwipState::Cold(pid) = child_of(inner) else { panic!("leaf must be cold") };
+        p.stage_cooling(0, 8);
+        assert_eq!(child_of(root), SwipState::Cooling(inner), "all-cold inner must stage");
+
+        // Swizzle the leaf back in through the Cooling inner node.
+        let back = p.load_cold(pid, inner).unwrap();
+        {
+            let mut g = p.frame(inner).latch.write();
+            let Page::Inner(n) = &mut *g else { unreachable!() };
+            n.children[0] = Swip::hot(back).raw();
+        }
+
+        assert!(!p.evict_one(0).unwrap(), "inner node with a hot child must not be evicted");
+        assert_eq!(child_of(root), SwipState::Hot(inner), "refused victim is heated back");
+        assert_eq!(child_of(inner), SwipState::Hot(back));
+        assert_eq!(p.io_counts().1, 1, "only the leaf was ever written out");
+        let g = p.frame(back).latch.read();
+        let Page::TableLeaf(l) = &*g else { panic!("expected the leaf") };
+        for r in 1..=3u64 {
+            let at = l.find(RowId(r)).expect("row present");
+            assert_eq!(l.read_col(&layout, at, 0), Value::I64(r as i64 * 10));
+        }
     }
 
     #[test]

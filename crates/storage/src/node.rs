@@ -52,8 +52,18 @@ impl Default for InnerNode {
 }
 
 impl InnerNode {
+    /// Separator count clamped to [`FANOUT`]. Optimistic readers run on
+    /// bytes a writer may be tearing, so every accessor that can run inside
+    /// an optimistic read is total on garbage: a torn `count` or key length
+    /// yields a wrong answer the version check then discards, never an
+    /// out-of-bounds panic.
+    #[inline]
+    pub fn key_count(&self) -> usize {
+        (self.count as usize).min(FANOUT)
+    }
+
     pub fn key(&self, i: usize) -> &[u8] {
-        &self.keys[i][..self.key_lens[i] as usize]
+        &self.keys[i][..(self.key_lens[i] as usize).min(MAX_KEY)]
     }
 
     fn set_key(&mut self, i: usize, key: &[u8]) {
@@ -69,7 +79,7 @@ impl InnerNode {
     /// Child index to descend into for `key`: the first separator greater
     /// than `key` bounds the subtree on the right.
     pub fn child_index(&self, key: &[u8]) -> usize {
-        let n = self.count as usize;
+        let n = self.key_count();
         let (mut lo, mut hi) = (0usize, n);
         while lo < hi {
             let mid = (lo + hi) / 2;
@@ -124,7 +134,15 @@ impl InnerNode {
     /// Position of the child whose raw swip equals `raw`, if any (used by
     /// eviction to find a victim's slot in its parent).
     pub fn find_child_slot(&self, raw: u64) -> Option<usize> {
-        self.children[..=self.count as usize].iter().position(|&c| c == raw)
+        self.children[..=self.key_count()].iter().position(|&c| c == raw)
+    }
+
+    /// Whether every child is cold — the precondition for writing this
+    /// node out (a page image must never hold a frame-relative hot swip).
+    pub fn all_children_cold(&self) -> bool {
+        self.children[..=self.key_count()].iter().all(|&c| {
+            matches!(crate::swip::Swip::from_raw(c).state(), crate::swip::SwipState::Cold(_))
+        })
     }
 }
 
@@ -561,6 +579,21 @@ mod tests {
                 _ => panic!("kind mismatch after roundtrip"),
             }
         }
+    }
+
+    /// A torn optimistic read can see any bytes: the accessors used inside
+    /// optimistic reads must stay in bounds on them.
+    #[test]
+    fn inner_accessors_are_total_on_torn_bytes() {
+        let mut n = InnerNode { count: u16::MAX, key_lens: [255; FANOUT], ..Default::default() };
+        n.children = [7; FANOUT + 1];
+        assert_eq!(n.key_count(), FANOUT);
+        assert_eq!(n.key(FANOUT - 1).len(), MAX_KEY);
+        assert!(n.child_index(b"any key") <= FANOUT);
+        assert_eq!(n.child_index(&[0xff; 80]), FANOUT);
+        assert_eq!(n.find_child_slot(7), Some(0));
+        assert_eq!(n.find_child_slot(8), None);
+        assert!(!n.all_children_cold());
     }
 
     #[test]
